@@ -150,11 +150,11 @@ type HandlerReg struct {
 
 // amEvent is one pending handler dispatch.
 type amEvent struct {
-	reg  *HandlerReg
-	src  int
-	tag  int
-	off  int
-	n    int
+	reg *HandlerReg
+	src int
+	tag int
+	off int
+	n   int
 }
 
 // amEngine is the per-rank dispatch state, guarded by naState.mu. The
@@ -482,6 +482,16 @@ func (e *amEngine) run(ev amEvent) (aborted bool) {
 		ev.reg.panics++
 	}
 	ev.reg.dispatched++
+	if ev.reg.dead {
+		// Unregister already folded this handler's counters into retired;
+		// a dispatch that was queued before it finished counts there.
+		st := e.retired[ev.reg.key.tag]
+		st.Dispatched++
+		if panicked {
+			st.Panics++
+		}
+		e.retired[ev.reg.key.tag] = st
+	}
 	e.completed++
 	s.mu.Unlock()
 	s.gate.Broadcast()

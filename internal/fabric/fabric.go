@@ -66,13 +66,6 @@ type Config struct {
 	// iff FaultPlan != nil or Reliability.Force; otherwise the lossless
 	// data path is completely untouched.
 	Reliability ReliabilityConfig
-	// RendezvousThreshold is the payload size (bytes) at which a
-	// distributed fabric switches a transfer from eager (payload rides the
-	// first frame) to rendezvous (RTS/CTS handshake, payload landing
-	// directly in a pre-reserved buffer). 0 means the adaptive default
-	// (64 KiB floor, raised with the observed per-peer RTT); negative
-	// disables rendezvous entirely. Single-process fabrics ignore it.
-	RendezvousThreshold int
 	// FailureHook, when non-nil, is called exactly once per rank the
 	// peer-failure detector declares dead (observer is the detecting
 	// rank). Called from delivery/timer context: must not block on fabric
@@ -220,15 +213,6 @@ type Fabric struct {
 	netOps        map[uint64]*Op
 	netOpSeq      uint64
 	remoteRegions map[int]map[int]int // rank -> regionID -> size
-
-	// Rendezvous engine state (distributed fabrics only; see netlink.go).
-	// rndvOut retains outbound payloads awaiting a CTS; rndvIn holds the
-	// reserved landing buffer and inner header of each announced inbound
-	// transfer.
-	rndvMu  sync.Mutex
-	rndvSeq uint64
-	rndvOut map[uint64]*rndvOutEntry
-	rndvIn  map[rndvKey]*rndvInEntry
 
 	// Peer-failure bookkeeping for lossless distributed links (rel == nil):
 	// the reliable layer owns failure declaration when present, but a

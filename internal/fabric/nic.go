@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/match"
+	"repro/internal/simtime"
 )
 
 // OpKind classifies remote operations as seen in completion-queue entries.
@@ -203,6 +204,9 @@ type packet struct {
 	// a data packet carries the link ack a standalone pktLinkAck would).
 	ack      uint64
 	ackValid bool
+	// sentAt is when a retained original last went on the wire (send,
+	// fast retransmit or timeout); the retransmission timer ages it.
+	sentAt simtime.Time
 }
 
 // Op is the origin-side handle of an outstanding remote operation. Done
@@ -217,7 +221,7 @@ type Op struct {
 	done     bool
 	detached bool // fire-and-forget: recycle into the NIC's op freelist at completion
 	result   uint64
-	err      error // peer-failure completion (reliability layer)
+	err      error  // peer-failure completion (reliability layer)
 	netID    uint64 // wire identity (distributed fabric); 0 = unregistered
 }
 

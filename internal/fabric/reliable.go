@@ -167,13 +167,6 @@ type relTx struct {
 	unacked    []*packet // ascending seq
 	attempts   int       // consecutive timeouts without ack progress
 	timerArmed bool
-
-	// Karn-style single-probe RTT estimation: at most one sequenced packet
-	// is timed at a time, and a sample is taken only if that packet was
-	// never retransmitted. Feeds the adaptive eager/rendezvous threshold.
-	probeSeq uint64 // seq being timed (0 = no probe in flight)
-	probeAt  simtime.Time
-	srtt     simtime.Duration // smoothed RTT, EWMA 7/8 (0 = no sample yet)
 }
 
 // relRx is the target-side state: the next expected sequence number and
@@ -276,10 +269,7 @@ func (rl *reliability) send(pkt *packet) {
 			rx.ackOwed = false // the timer finds nothing to flush
 		}
 	}
-	if tx.probeSeq == 0 {
-		tx.probeSeq = pkt.seq
-		tx.probeAt = rl.f.env.Now()
-	}
+	pkt.sentAt = rl.f.env.Now()
 	if pkt.pooled {
 		// Retained payloads are handed to the GC instead of the pool: a
 		// slow duplicate or retransmit clone may still be reading the
@@ -436,7 +426,7 @@ func (rl *reliability) ingress(n *NIC, pkt *packet) {
 				rl.f.env.Schedule(rl.cfg.AckDelay, exec.PrioWake, func() { rl.onAckTimer(pair) })
 			}
 		}
-		if len(rx.window) > 0 && !rl.nackSuppressed(pair.origin, rx.next) {
+		if len(rx.window) > 0 {
 			// Stragglers above a fresh gap mean another loss in the same
 			// burst. At a burst tail no further arrival will ever nack it,
 			// so signal it now rather than stall a full RTO (a nack
@@ -457,7 +447,7 @@ func (rl *reliability) ingress(n *NIC, pkt *packet) {
 			rx.window[pkt.seq] = pkt
 			pkt = nil // retained in the window, checksum already verified
 		}
-		if rx.lastNack != rx.next && !rl.nackSuppressed(pair.origin, rx.next) {
+		if rx.lastNack != rx.next {
 			rx.lastNack = rx.next
 			ctlKind, ctlSeq = pktLinkNack, rx.next
 		}
@@ -482,14 +472,6 @@ func (rl *reliability) ingress(n *NIC, pkt *packet) {
 	}
 }
 
-// nackSuppressed reports whether the gap at the expected seq is explained
-// by a rendezvous transfer still mid-handshake from origin (netlink): its
-// frame is delayed by design, not lost, so a gap nack would only trigger a
-// useless retransmission.
-func (rl *reliability) nackSuppressed(origin int, seq uint64) bool {
-	return rl.f.link != nil && rl.f.rndvGapPending(origin, seq)
-}
-
 // handleLinkCtl processes an ack or nack at the data sender. The control
 // packet's (origin, target) are the *reverse* of the data direction.
 func (rl *reliability) handleLinkCtl(pkt *packet) {
@@ -507,8 +489,7 @@ func (rl *reliability) handleLinkCtl(pkt *packet) {
 
 // applyAck commits a cumulative ack (standalone or piggybacked) to the
 // sender-side state of the directed stream pair, releasing covered
-// retained packets, sampling the RTT probe, and fast-retransmitting a
-// nacked gap.
+// retained packets and fast-retransmitting a nacked gap.
 func (rl *reliability) applyAck(pair pairKey, ackTo uint64, nack bool) {
 	var released []*packet
 	var retrans *packet
@@ -528,26 +509,11 @@ func (rl *reliability) applyAck(pair pairKey, ackTo uint64, nack bool) {
 		tx.unacked = append(tx.unacked[:0], tx.unacked[i:]...)
 		tx.attempts = 0 // ack progress resets the failure budget
 	}
-	if tx.probeSeq != 0 && ackTo >= tx.probeSeq {
-		// Karn: the probe is sampled only if it was never retransmitted
-		// (retransmission paths zero probeSeq), so the sample cannot pair
-		// a retransmit's send time with the original's ack.
-		if s := rl.f.env.Now().Sub(tx.probeAt); s > 0 {
-			if tx.srtt == 0 {
-				tx.srtt = s
-			} else {
-				tx.srtt = (7*tx.srtt + s) / 8
-			}
-		}
-		tx.probeSeq = 0
-	}
 	if nack {
 		for _, sp := range tx.unacked {
 			if sp.seq == ackTo+1 {
+				sp.sentAt = rl.f.env.Now()
 				retrans = wireClone(sp) // fast retransmit of the reported gap
-				if sp.seq == tx.probeSeq {
-					tx.probeSeq = 0 // Karn: retransmitted, sample invalid
-				}
 				break
 			}
 			if sp.seq > ackTo+1 {
@@ -586,20 +552,6 @@ func (rl *reliability) onAckTimer(pair pairKey) {
 	rl.sendCtl(pktLinkAck, pair.target, pair.origin, ackTo)
 }
 
-// srttOf returns the smoothed RTT observed toward a rank (0 until a clean
-// sample exists). The adaptive eager/rendezvous threshold reads it.
-func (rl *reliability) srttOf(target int) simtime.Duration {
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	var best simtime.Duration
-	for pk, tx := range rl.tx {
-		if pk.target == target && tx.srtt > best {
-			best = tx.srtt
-		}
-	}
-	return best
-}
-
 // releaseRetained frees a retained original once the target acknowledged
 // it (or its stream died). The origin owns the staged payload under
 // reliability; message payload buffers stay with the consumer-side
@@ -627,12 +579,21 @@ func (rl *reliability) armTimerLocked(pair pairKey, tx *relTx) {
 	if tx.timerArmed || len(tx.unacked) == 0 {
 		return
 	}
-	tx.timerArmed = true
-	rl.f.env.Schedule(rl.rto(tx.attempts), exec.PrioWake, func() { rl.onTimer(pair) })
+	rl.scheduleTimerLocked(pair, tx, rl.rto(tx.attempts))
 }
 
-// onTimer fires a pair's retransmission timeout: resend everything
-// unacked, back off, and declare the peer failed once the budget is
+// scheduleTimerLocked arms the pair's retransmission timer to fire after
+// d. Caller holds rl.mu.
+func (rl *reliability) scheduleTimerLocked(pair pairKey, tx *relTx, d simtime.Duration) {
+	tx.timerArmed = true
+	rl.f.env.Schedule(d, exec.PrioWake, func() { rl.onTimer(pair) })
+}
+
+// onTimer fires a pair's retransmission timeout. The timer is armed by the
+// first send after an idle period, so it may fire while every unacked
+// packet is still younger than the timeout; it then re-arms for the
+// remainder instead of resending. Otherwise it resends everything
+// unacked, backs off, and declares the peer failed once the budget is
 // exhausted with zero ack progress.
 func (rl *reliability) onTimer(pair pairKey) {
 	rl.mu.Lock()
@@ -646,6 +607,17 @@ func (rl *reliability) onTimer(pair pairKey) {
 		rl.mu.Unlock()
 		return
 	}
+	oldest := tx.unacked[0].sentAt
+	for _, sp := range tx.unacked[1:] {
+		if sp.sentAt < oldest {
+			oldest = sp.sentAt
+		}
+	}
+	if wait := rl.rto(tx.attempts) - rl.f.env.Now().Sub(oldest); wait > 0 {
+		rl.scheduleTimerLocked(pair, tx, wait)
+		rl.mu.Unlock()
+		return
+	}
 	tx.attempts++
 	if tx.attempts > rl.cfg.MaxAttempts {
 		rl.mu.Unlock()
@@ -653,11 +625,12 @@ func (rl *reliability) onTimer(pair pairKey) {
 			fmt.Sprintf("retransmit budget exhausted after %d timeouts", rl.cfg.MaxAttempts))
 		return
 	}
+	now := rl.f.env.Now()
 	clones := make([]*packet, len(tx.unacked))
 	for i, sp := range tx.unacked {
+		sp.sentAt = now
 		clones[i] = wireClone(sp)
 	}
-	tx.probeSeq = 0 // Karn: everything in flight is now a retransmission
 	rl.armTimerLocked(pair, tx)
 	rl.mu.Unlock()
 	rl.retransmits.Add(int64(len(clones)))
@@ -714,13 +687,6 @@ func (rl *reliability) declarePeerFailed(observer, failed int, reason string) {
 	if hook := rl.f.cfg.FailureHook; hook != nil {
 		hook(observer, failed, err)
 	}
-}
-
-// peerError returns the recorded failure of rank, if any.
-func (rl *reliability) peerError(rank int) error {
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	return rl.failed[rank]
 }
 
 // close makes pending and future timers inert (end of run).

@@ -354,6 +354,39 @@ func TestReliableForceOnPerfectWire(t *testing.T) {
 	})
 }
 
+// TestReliableBackToBackPutsNoSpuriousRetransmit streams puts far past one
+// RTO on a perfect virtual wire. The pair's retransmission timer is armed
+// by the first send, so when it fires most unacked packets left moments
+// earlier and their acks are still in flight: it must wait for them to
+// age rather than resend them and burn the failure budget.
+func TestReliableBackToBackPutsNoSpuriousRetransmit(t *testing.T) {
+	const puts = 2000
+	env := exec.New(exec.Sim)
+	c := DefaultConfig(2)
+	c.Reliability.Force = true
+	f := New(env, c)
+	defer f.Close()
+	err := env.Run(2, func(p *exec.Proc) {
+		nic := f.NIC(p.Rank())
+		reg := nic.Register(make([]byte, 1<<10))
+		barrier(f, p)
+		if p.Rank() == 0 {
+			payload := make([]byte, 1<<10)
+			for i := 0; i < puts; i++ {
+				nic.Put(p, 1, reg.ID, 0, payload, Imm{}).Detach()
+			}
+			nic.FlushAll(p)
+		}
+		barrier(f, p)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := f.FaultStats(); st.Retransmits != 0 || st.DupsDropped != 0 {
+		t.Errorf("repairs on a perfect virtual wire after %d puts: %+v", puts, st)
+	}
+}
+
 // TestFaultPlaneOffByDefault pins the activation gate: without a plan the
 // reliability layer must not exist at all (the zero-fault hot path and its
 // Sim timings are untouched).

@@ -186,12 +186,6 @@ type Mesh struct {
 	rx       func(from int, fr *wire.Frame)
 	peerDown func(rank int, err error)
 
-	// directBuf, when set (before Start), lets the receive loop land a
-	// rendezvous data frame's payload straight into a caller-owned buffer:
-	// given the peeked header it returns a buffer of exactly the payload
-	// size, or nil to take the ordinary buffered path.
-	directBuf func(from int, fr *wire.Frame) []byte
-
 	framesSent, framesRecv atomic.Uint64
 	bytesSent, bytesRecv   atomic.Uint64
 	txFlushes, rxReads     atomic.Uint64
@@ -543,15 +537,6 @@ func (m *Mesh) Self() int { return m.cfg.Self }
 
 // N returns the job size.
 func (m *Mesh) N() int { return m.cfg.N }
-
-// SetDirectBuf installs the direct-landing hook for rendezvous data
-// frames: given the peeked fixed header of an arriving KindRndvData frame,
-// it returns a buffer of exactly the payload size the payload should land
-// in (skipping the framer's buffer entirely), or nil to take the ordinary
-// buffered path. Must be set before Start.
-func (m *Mesh) SetDirectBuf(f func(from int, fr *wire.Frame) []byte) {
-	m.directBuf = f
-}
 
 // Start installs the receive callbacks and launches the data-plane
 // goroutines: one writer per peer stream, and on the receive side a

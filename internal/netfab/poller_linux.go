@@ -116,7 +116,7 @@ func (pl *poller) destroy() {
 // polls interleaved with Gosched keep mid-conversation latency at
 // syscall speed; only a mesh idle for the full budget pays the
 // blocking-wakeup cost, and from then on it costs zero CPU. 5ms
-// comfortably covers inter-hop gaps (rendezvous turnarounds, fabric
+// comfortably covers inter-hop gaps (request-response turnarounds, fabric
 // processing) without burning meaningful CPU on a mesh that went quiet.
 const pollSpin = 5 * time.Millisecond
 

@@ -1,8 +1,7 @@
 package netfab
 
 // Benchmark scaffolding for the rx path: a two-mesh ping-pong over real
-// localhost TCP, with and without direct landing, sized to expose the
-// poller's per-hop and per-chunk costs.
+// localhost TCP, sized to expose the poller's per-hop and per-chunk costs.
 
 import (
 	"net"
@@ -43,34 +42,21 @@ func tcpMeshPair(tb testing.TB) [2]*Mesh {
 	return meshes
 }
 
-func benchPingPong(b *testing.B, size int, direct bool) {
+func benchPingPong(b *testing.B, size int) {
 	meshes := tcpMeshPair(b)
 	defer meshes[0].Close(true)
 	defer meshes[1].Close(true)
 
-	bufs := [2][]byte{make([]byte, size), make([]byte, size)}
 	got := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
 	for r := 0; r < 2; r++ {
 		m := meshes[r]
-		if direct {
-			m.SetDirectBuf(func(from int, fr *wire.Frame) []byte {
-				if int(fr.Operand) == len(bufs[m.Self()]) {
-					return bufs[m.Self()]
-				}
-				return nil
-			})
-		}
 		m.Start(func(from int, fr *wire.Frame) {
 			got[m.Self()] <- struct{}{}
 		}, func(rank int, err error) {})
 	}
 
 	payload := make([]byte, size)
-	kind := wire.KindPut
-	if direct {
-		kind = wire.KindRndvData
-	}
-	fr := &wire.Frame{Kind: kind, Origin: 0, Target: 1, Operand: uint64(size), Data: payload}
+	fr := &wire.Frame{Kind: wire.KindPut, Origin: 0, Target: 1, Operand: uint64(size), Data: payload}
 	b.SetBytes(int64(2 * size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -87,6 +73,5 @@ func benchPingPong(b *testing.B, size int, direct bool) {
 	}
 }
 
-func BenchmarkPingPong8(b *testing.B)          { benchPingPong(b, 8, false) }
-func BenchmarkPingPong256KEager(b *testing.B)  { benchPingPong(b, 262144, false) }
-func BenchmarkPingPong256KDirect(b *testing.B) { benchPingPong(b, 262144, true) }
+func BenchmarkPingPong8(b *testing.B)    { benchPingPong(b, 8) }
+func BenchmarkPingPong256K(b *testing.B) { benchPingPong(b, 262144) }

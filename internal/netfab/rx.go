@@ -2,14 +2,13 @@ package netfab
 
 // The receive path as a resumable state machine.
 //
-// Every peer stream owns an rxStream: the framer, the scratch frame, and
-// any half-landed direct transfer. Pumping the machine is identical
-// whether the bytes come from a blocking conn (fallback goroutine, one
-// per stream — in-memory pipes and platforms without a poller) or from a
-// nonblocking fd driven by the process-wide poller: the only difference
-// is that the nonblocking reader returns errWouldBlock where the blocking
-// one parks, and the machine simply stops mid-stride and resumes on the
-// next readiness event.
+// Every peer stream owns an rxStream: the framer and the scratch frame.
+// Pumping the machine is identical whether the bytes come from a blocking
+// conn (fallback goroutine, one per stream — in-memory pipes and
+// platforms without a poller) or from a nonblocking fd driven by the
+// process-wide poller: the only difference is that the nonblocking reader
+// returns errWouldBlock where the blocking one parks, and the machine
+// simply stops mid-stride and resumes on the next readiness event.
 
 import (
 	"errors"
@@ -30,18 +29,7 @@ type rxStream struct {
 	p    *peer
 	r    io.Reader // fdReader (poller) or the conn itself (fallback)
 	fram *wire.Framer
-	fr   wire.Frame // scratch: peeked headers and decoded bodies
-
-	// A rendezvous frame crosses three park-safe stages: dirWant holds the
-	// reserved landing buffer while the section prefixes finish arriving
-	// (so the directBuf hook runs once per frame, not once per wakeup),
-	// then dir carries the in-progress landing until the payload and
-	// trailer are fully consumed.
-	dirWant []byte
-	dirHdr  wire.Frame // peeked header of the reserved frame
-	dir     *wire.Direct
-	dirFr   wire.Frame
-	dirData []byte
+	fr   wire.Frame // scratch: the decoded body
 
 	sinceRead int // frames completed since the last counted read
 	dead      bool
@@ -64,88 +52,20 @@ func (m *Mesh) drain(s *rxStream) bool {
 	return false
 }
 
-// pump advances s's state machine: parse buffered frames, route
-// rendezvous data through the direct-landing hook, read more when the
-// buffer runs dry. It returns only on a reader error (errWouldBlock from
-// a nonblocking reader, EOF or a real error otherwise) or a protocol
+// pump advances s's state machine: parse buffered frames, read more when
+// the buffer runs dry. It returns only on a reader error (errWouldBlock
+// from a nonblocking reader, EOF or a real error otherwise) or a protocol
 // error; it never returns nil.
 func (m *Mesh) pump(s *rxStream) error {
 	p := s.p
 	fram := s.fram
 	for {
-		// An in-progress direct landing owns the stream until its payload
-		// and trailer are consumed.
-		if s.dir != nil {
-			if _, err := s.dir.Fill(s.r); err != nil {
-				return err
-			}
-			s.dir = nil
-			m.rxReads.Add(1)
-			m.framesRecv.Add(1)
-			m.bytesRecv.Add(uint64(wire.LengthPrefix + wire.FixedHeaderLen + 10 + len(s.dirData)))
-			s.dirFr.Data = s.dirData
-			if m.rx != nil {
-				m.rx(p.rank, &s.dirFr)
-			}
-			s.dirData = nil
-			continue
-		}
-
-		// Direct landing: when the next frame is rendezvous data with a
-		// reserved buffer, stream the payload straight into it.
-		if m.directBuf != nil && s.dirWant == nil {
-			ok, err := fram.PeekHeader(&s.fr)
-			if err != nil {
-				return fmt.Errorf("netfab: undecodable frame from rank %d: %w", p.rank, err)
-			}
-			if ok && s.fr.Kind == wire.KindRndvData {
-				if dst := m.directBuf(p.rank, &s.fr); dst != nil {
-					s.dirWant = dst
-					s.dirHdr = s.fr
-				}
-				// No reserved buffer (stale transfer): fall through — the
-				// buffered path parses the frame and the fabric drops it.
-			}
-		}
-		if s.dirWant != nil {
-			d, err := fram.StartDirect(s.dirWant)
-			switch {
-			case err == wire.ErrDirectMismatch:
-				// Header lied about the size: nothing consumed; the
-				// buffered path below re-parses it as a normal frame.
-				s.dirWant = nil
-			case err != nil:
-				return fmt.Errorf("netfab: bad frame from rank %d: %w", p.rank, err)
-			case d == nil:
-				// Section prefixes not fully buffered yet: a small read
-				// (never growing the buffer toward the payload) and retry.
-				if err := fram.FillSmall(s.r); err != nil {
-					return err
-				}
-				continue
-			default:
-				s.dir = d
-				s.dirFr = s.dirHdr
-				s.dirData = s.dirWant
-				s.dirWant = nil
-				continue
-			}
-		}
-
 		body, err := fram.Next()
 		if err != nil {
 			return fmt.Errorf("netfab: bad frame from rank %d: %w", p.rank, err)
 		}
 		if body == nil {
-			// Keep the buffer small while the pending frame is a
-			// direct-landing candidate; otherwise let the framer grow to
-			// fit large eager frames.
-			if k, ok := fram.PendingKind(); ok && k == wire.KindRndvData && m.directBuf != nil {
-				err = fram.FillSmall(s.r)
-			} else {
-				_, err = fram.Fill(s.r)
-			}
-			if err != nil {
+			if _, err := fram.Fill(s.r); err != nil {
 				return err // errWouldBlock: sinceRead carries to the resume
 			}
 			m.rxReads.Add(1)

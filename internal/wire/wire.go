@@ -24,9 +24,11 @@ import (
 
 // Version is the wire-protocol version stamped on every frame. Peers with
 // mismatched versions refuse to mesh during the bootstrap handshake.
-// Version 2 added the piggybacked cumulative-ack field and the
-// rendezvous kinds (RTS/CTS/RndvData).
-const Version = 2
+// Version 2 added the piggybacked cumulative-ack field. Version 3 removed
+// the TCP rendezvous kinds (request to send, clear to send, rendezvous
+// data), which renumbered KindRejoin: every data-plane frame now carries
+// its payload eagerly.
+const Version = 3
 
 // MaxData bounds a frame's raw payload section (64 MiB): larger transfers
 // must be chunked by the layer above, and a length prefix beyond it is
@@ -72,15 +74,6 @@ const (
 	KindReg    // a memory region became remotely accessible: RegionID, Operand=size
 	KindDereg  // a memory region was revoked: RegionID
 	KindBye    // clean shutdown: the sender finished its rank body
-
-	// Rendezvous protocol for large puts: the origin sends the data-plane
-	// frame's header (encoded in Data) plus the payload size (Operand)
-	// under a transfer ID (OpID); the target reserves a staging buffer and
-	// answers CTS; the payload then travels alone in a RndvData frame that
-	// the receiver can land directly in the reserved buffer.
-	KindRTS      // request to send: OpID=transfer ID, Operand=payload bytes, Data=encoded inner frame header
-	KindCTS      // clear to send: OpID echoes the transfer ID
-	KindRndvData // the payload: OpID=transfer ID, Operand=payload bytes, Data=payload
 
 	// KindRejoin is the Hello variant a respawned rank sends during a
 	// recovery re-bootstrap: same layout as KindHello (Origin=rank,
@@ -131,12 +124,6 @@ func (k Kind) String() string {
 		return "dereg"
 	case KindBye:
 		return "bye"
-	case KindRTS:
-		return "rts"
-	case KindCTS:
-		return "cts"
-	case KindRndvData:
-		return "rndv-data"
 	case KindRejoin:
 		return "rejoin"
 	}
@@ -290,7 +277,7 @@ func decodeFixed(b []byte, fr *Frame) error {
 		return fmt.Errorf("wire: unknown frame kind %d", b[1])
 	}
 	flags := b[2]
-	if flags &^ (flagImmValid | flagNotifyBack | flagChargeCopy | flagRel | flagAckValid) != 0 {
+	if flags&^(flagImmValid|flagNotifyBack|flagChargeCopy|flagRel|flagAckValid) != 0 {
 		return fmt.Errorf("wire: unknown flag bits %#x", flags)
 	}
 	*fr = Frame{

@@ -34,10 +34,12 @@ func sampleFrames() []Frame {
 		{Kind: KindReg, Origin: 1, RegionID: 4, Operand: 65536},
 		{Kind: KindDereg, Origin: 1, RegionID: 4},
 		{Kind: KindBye, Origin: 3},
-		{Kind: KindRTS, Origin: 0, Target: 1, OpID: 11, Operand: 1 << 20,
-			Data: []byte("encoded inner header")},
-		{Kind: KindCTS, Origin: 1, Target: 0, OpID: 11},
-		{Kind: KindRndvData, Origin: 0, Target: 1, OpID: 11, Operand: 5, Data: []byte("large")},
+		{Kind: KindRejoin, Origin: 2, Operand: 8, Compare: Version, Seq: 3,
+			Strs: []string{"127.0.0.1:4243"}},
+		{Kind: KindPut, Origin: 0, Target: 1, RegionID: 3, Offset: 1 << 16,
+			WireSize: 1 << 10, Data: make([]byte, 1<<10), Rel: true, Seq: 11, Csum: 7},
+		{Kind: KindGetResp, Origin: 1, Target: 0, OpID: 12, Data: []byte("resp"),
+			Rel: true, Seq: 5, Csum: 2, Ack: 10, AckValid: true},
 	}
 }
 
